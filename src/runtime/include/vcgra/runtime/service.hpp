@@ -7,7 +7,8 @@
 //        |              miss -> synth/map/place/route once, share forever
 //   ReconfigScheduler   pick the virtual grid instance whose loaded
 //        |              configuration is cheapest to respecialize
-//   ExecutorPool        run the cycle-level Simulator on a worker thread
+//   ExecutorPool        run the plan sweep (or, as the reference, the
+//                       cycle-level Simulator) on a worker thread
 //
 // Determinism: placement is seeded per job (JobRequest::seed feeds the
 // compiler's annealer) and simulation is pure, so results are bit-exact
@@ -300,12 +301,11 @@ class OverlayService {
   std::shared_ptr<const overlay::ParsedKernel> parse_cached(
       const std::string& kernel_text);
   void drain_one();
-  JobResult execute(PendingJob& job);
-  /// Execute `batch` (>= 2 jobs sharing one config_key) as a single
-  /// fused plan sweep; fulfills every job's promise and does all the
-  /// success/failure accounting itself.
-  void execute_fused(std::vector<std::unique_ptr<PendingJob>>& batch);
-  void record_result(const JobResult& result);
+  /// The one execution path. Runs `batch` (one job, or several sharing
+  /// one config_key) through cache lookup, instance acquire, plan fetch,
+  /// input-name resolution and one exec step, each once; fulfills every
+  /// job's promise after doing all the success/failure accounting.
+  void execute(std::vector<std::unique_ptr<PendingJob>>& batch);
   void note_task_submitted();
   void note_task_completed(double latency_seconds);
   void note_task_failed();

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -197,7 +199,6 @@ JobResult OverlayService::run(JobRequest request) {
 void OverlayService::wait_idle() { pool_.wait_idle(); }
 
 void OverlayService::drain_one() {
-  std::unique_ptr<PendingJob> job;
   std::vector<std::unique_ptr<PendingJob>> batch;
   {
     // Reconfiguration-aware batching: prefer a queued job whose overlay is
@@ -240,18 +241,18 @@ void OverlayService::drain_one() {
       if (have_structure_pick) pick = structure_pick;
     }
     if (pick != 0) ++pending_.front()->deferrals;
-    job = std::move(pending_[pick]);
+    batch.push_back(std::move(pending_[pick]));
     pending_.erase(pending_.begin() + static_cast<long>(pick));
     // Fused-batch gather: every queued job sharing the picked job's exact
     // configuration rides this drain as one plan sweep (up to the
     // fairness cap, so a flood of one kernel cannot monopolize a worker).
     // The wakeups those jobs enqueued become harmless empty-queue pops.
-    if (options_.use_plan_executor && options_.max_batch_jobs > 1 &&
-        !job->front_end_error) {
+    const PendingJob& job = *batch.front();
+    if (options_.use_plan_executor && !job.front_end_error) {
       for (std::size_t i = 0;
-           i < pending_.size() && batch.size() + 1 < options_.max_batch_jobs;) {
+           i < pending_.size() && batch.size() < options_.max_batch_jobs;) {
         if (!pending_[i]->front_end_error &&
-            pending_[i]->config_key == job->config_key) {
+            pending_[i]->config_key == job.config_key) {
           batch.push_back(std::move(pending_[i]));
           pending_.erase(pending_.begin() + static_cast<long>(i));
         } else {
@@ -260,225 +261,84 @@ void OverlayService::drain_one() {
       }
     }
   }
-
-  if (!batch.empty()) {
-    batch.insert(batch.begin(), std::move(job));
-    execute_fused(batch);
-    return;
-  }
-
-  try {
-    const JobResult result = execute(*job);
-    record_result(result);
-    job->promise.set_value(result);
-  } catch (...) {
-    service_metrics().failed.add(1);
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++jobs_failed_;
-    }
-    job->promise.set_exception(std::current_exception());
-  }
+  execute(batch);
 }
 
-JobResult OverlayService::execute(PendingJob& job) {
-  if (job.front_end_error) std::rethrow_exception(job.front_end_error);
-  JobResult result;
-  const JobRequest& request = job.request;
+namespace {
 
-  // Queue wait is the one stage that spans two threads: it started at
-  // submit() and ends here, when a worker picks the job up.
-  const std::uint64_t picked_ns = telemetry::trace_now_ns();
-  const std::uint64_t queue_ns = picked_ns - job.submit_ns;
-  result.queue_seconds = static_cast<double>(queue_ns) * 1e-9;
-
-  telemetry::JobTrace trace;
-  {
-    telemetry::JobTraceScope tracing(&trace);
-
-    CacheOutcome outcome;
-    std::shared_ptr<const overlay::Compiled> compiled;
-    {
-      VCGRA_TRACE_SPAN("cache.lookup");
-      compiled = cache_.get_or_specialize(job.keys, *job.parsed, request.arch,
-                                          request.seed, job.binding, &outcome);
-    }
-    result.cache_hit = outcome.hit;
-    result.structure_hit = outcome.structure_hit;
-    result.disk_hit = outcome.disk_hit;
-    result.compile_seconds = outcome.compile_seconds;
-    result.specialize_seconds = outcome.specialize_seconds;
-    result.disk_load_seconds = outcome.disk_load_seconds;
-
-    std::unique_ptr<InstanceLease> lease;
-    {
-      VCGRA_TRACE_SPAN("sched.acquire");
-      const Assignment assignment =
-          scheduler_.acquire(job.config_key, job.keys.structure, compiled);
-      lease = std::make_unique<InstanceLease>(scheduler_, assignment.instance);
-      result.instance = assignment.instance;
-      result.reconfigured = assignment.reconfigured;
-      result.param_respecialized = assignment.param_only;
-      result.reconfig_seconds = assignment.reconfig_seconds;
-    }
-
-    // Steady-state datapath: the cached specialization's precompiled
-    // execution plan (lowered lazily, reused across jobs) runs the job on
-    // the batched bit-level executor; the legacy interpreter remains as
-    // the reference path when the plan executor is disabled. Plan lookup
-    // (and a first-touch lowering) happens before the exec timer starts,
-    // so exec_seconds stays a pure datapath measurement.
-    std::shared_ptr<const overlay::ExecPlan> plan;
-    if (options_.use_plan_executor) {
-      VCGRA_TRACE_SPAN("plan.fetch");
-      plan = cache_.plan_for(job.keys, compiled, options_.sim);
-      result.plan_executed = true;
-    }
-    VCGRA_TRACE_SPAN("exec.run");
-    common::WallTimer exec;
-
-    // Cached artifacts carry canonical (alpha-renamed) signal names so
-    // isomorphic kernels share them; the job's streams use the kernel's
-    // real names. Translate at the boundary — both directions are
-    // identities for kernels already written in canonical names.
-    // Streams are moved, not copied: the request is dead after execute().
-    const bool canonical = job.parsed->names_are_canonical;
-    std::map<std::string, std::vector<double>> renamed_inputs;
-    std::map<std::string, std::vector<std::uint64_t>> renamed_bits;
-    if (!canonical) {
-      for (auto& [name, stream] : job.request.inputs) {
-        // A stray input whose name collides with another stream's
-        // canonical name must fail loudly (pre-rename it would have been
-        // rejected by the simulator), never silently clobber real data.
-        if (!renamed_inputs.emplace(job.parsed->canonical_name(name),
-                                    std::move(stream)).second) {
-          throw std::invalid_argument(
-              "input stream '" + name + "' collides with another stream after "
-              "canonicalization");
-        }
-      }
-      for (auto& [name, stream] : job.request.input_bits) {
-        if (!renamed_bits.emplace(job.parsed->canonical_name(name),
-                                  std::move(stream)).second) {
-          throw std::invalid_argument(
-              "input stream '" + name + "' collides with another stream after "
-              "canonicalization");
-        }
-      }
-    }
-    const auto& dstreams = canonical ? request.inputs : renamed_inputs;
-    const auto& bstreams = canonical ? request.input_bits : renamed_bits;
-
-    if (plan && bstreams.empty() && !request.raw_output) {
-      // The common all-doubles plan path.
-      result.run = overlay::PlanExecutor(plan).run_doubles(dstreams);
-    } else if (plan) {
-      // Raw-bits boundary on the plan path: a fused batch of one, so the
-      // single-job and batched entry points share one codepath.
-      overlay::BatchInputs in;
-      for (const auto& [name, stream] : dstreams) {
-        in.emplace(name, overlay::BatchStream{nullptr, stream.data(),
-                                              stream.size()});
-      }
-      for (const auto& [name, stream] : bstreams) {
-        if (!in.emplace(name, overlay::BatchStream{stream.data(), nullptr,
-                                                   stream.size()}).second) {
-          throw std::invalid_argument(
-              "input stream '" + name +
-              "' provided as both doubles and raw bits");
-        }
-      }
-      std::vector<overlay::BatchInputs> batch_in;
-      batch_in.push_back(std::move(in));
-      auto outcomes = overlay::PlanExecutor(plan).run_batch(
-          batch_in, {request.raw_output});
-      if (outcomes[0].error) std::rethrow_exception(outcomes[0].error);
-      result.run = std::move(outcomes[0].run);
-    } else {
-      // Interpreter path. Raw bits are converted with the scalar FpValue
-      // boundary (never the batch encoder/decoder) so the interpreter
-      // stays an independent oracle for the plan executor.
-      if (bstreams.empty() && !request.raw_output) {
-        result.run =
-            overlay::Simulator(compiled, options_.sim).run_doubles(dstreams);
-      } else {
-        const softfloat::FpFormat format = request.arch.format;
-        std::map<std::string, std::vector<softfloat::FpValue>> fp_inputs;
-        for (const auto& [name, stream] : dstreams) {
-          std::vector<softfloat::FpValue>& values = fp_inputs[name];
-          values.reserve(stream.size());
-          for (const double v : stream) {
-            values.push_back(softfloat::FpValue::from_double(format, v));
-          }
-        }
-        for (const auto& [name, stream] : bstreams) {
-          if (fp_inputs.count(name)) {
-            throw std::invalid_argument(
-                "input stream '" + name +
-                "' provided as both doubles and raw bits");
-          }
-          std::vector<softfloat::FpValue>& values = fp_inputs[name];
-          values.reserve(stream.size());
-          for (const std::uint64_t bits : stream) {
-            values.push_back(softfloat::FpValue(format, bits));
-          }
-        }
-        result.run = overlay::Simulator(compiled, options_.sim).run(fp_inputs);
-        if (request.raw_output) {
-          for (auto& [name, stream] : result.run.outputs) {
-            std::vector<std::uint64_t> bits(stream.size());
-            for (std::size_t i = 0; i < stream.size(); ++i) {
-              bits[i] = stream[i].bits();
-            }
-            result.run.bit_outputs.emplace(name, std::move(bits));
-          }
-          result.run.outputs.clear();
-        }
-      }
-    }
-    translate_outputs(*job.parsed, result.run);
-    result.exec_seconds = exec.seconds();
+/// The reference engine at the exec step: each resolved job on the
+/// cycle-level interpreter, one by one. A stream's index is its rank
+/// among the overlay's sorted input names. Streams cross the boundary
+/// through the scalar FpValue conversions (never the batch encoder or
+/// decoder), so the interpreter stays an independent oracle for the plan
+/// executor, raw-bits mode included.
+std::vector<overlay::PlanExecutor::BatchOutcome> interpret(
+    std::shared_ptr<const overlay::Compiled> compiled,
+    const overlay::SimOptions& sim,
+    const std::vector<overlay::ResolvedJob>& jobs,
+    const std::vector<bool>& raw) {
+  std::vector<const std::string*> names;
+  for (const auto& [name, node] : compiled->input_node_by_name) {
+    names.push_back(&name);
   }
-
-  // The queue-wait span joins the collector (depth 0, so it counts as a
-  // stage) and the global rings after the scope closes — its start
-  // predates the scope, so the guard path cannot record it.
-  trace.add("queue.wait", 0, job.submit_ns, queue_ns);
-  telemetry::Tracer::record_span("queue.wait", job.submit_ns, queue_ns,
-                                 trace.trace_id);
-  result.stages = trace.stage_breakdown();
-  result.trace_id = trace.trace_id;
-  result.latency_seconds = job.since_submit.seconds();
-
-  if (options_.slow_job_threshold > 0 &&
-      result.latency_seconds >= options_.slow_job_threshold) {
-    VCGRA_LOG_WARN() << "slow job trace " << trace.trace_id << " ("
-                     << common::human_seconds(result.latency_seconds)
-                     << " >= " << common::human_seconds(
-                            options_.slow_job_threshold)
-                     << " threshold) span tree:\n" << trace.tree_string();
+  const softfloat::FpFormat format = compiled->arch.format;
+  const overlay::Simulator simulator(std::move(compiled), sim);
+  std::vector<overlay::PlanExecutor::BatchOutcome> outcomes(jobs.size());
+  for (std::size_t k = 0; k < jobs.size(); ++k) {
+    try {
+      std::map<std::string, std::vector<softfloat::FpValue>> streams;
+      for (const overlay::ResolvedStream& entry : jobs[k]) {
+        std::vector<softfloat::FpValue>& values =
+            streams[*names[static_cast<std::size_t>(entry.buffer)]];
+        values.reserve(entry.stream.size);
+        for (std::size_t i = 0; i < entry.stream.size; ++i) {
+          values.push_back(
+              entry.stream.bits
+                  ? softfloat::FpValue(format, entry.stream.bits[i])
+                  : softfloat::FpValue::from_double(format,
+                                                    entry.stream.doubles[i]));
+        }
+      }
+      overlay::RunResult& run = outcomes[k].run;
+      run = simulator.run(streams);
+      if (raw[k]) {
+        for (auto& [name, stream] : run.outputs) {
+          std::vector<std::uint64_t> bits(stream.size());
+          for (std::size_t i = 0; i < stream.size(); ++i) {
+            bits[i] = stream[i].bits();
+          }
+          run.bit_outputs.emplace(name, std::move(bits));
+        }
+        run.outputs.clear();
+      }
+    } catch (...) {
+      outcomes[k].error = std::current_exception();
+    }
   }
-  return result;
+  return outcomes;
 }
 
-void OverlayService::execute_fused(
-    std::vector<std::unique_ptr<PendingJob>>& batch) {
+}  // namespace
+
+void OverlayService::execute(std::vector<std::unique_ptr<PendingJob>>& batch) {
   const std::size_t njobs = batch.size();
   PendingJob& lead = *batch.front();
   const std::uint64_t picked_ns = telemetry::trace_now_ns();
 
   // Shared outcome of the one-time work (lookup, acquire, plan fetch):
-  // every job in the batch copies from this template.
+  // every job's result starts from this template.
   JobResult shared;
   shared.batch_size = static_cast<int>(njobs);
   std::vector<overlay::PlanExecutor::BatchOutcome> outcomes;
-  std::vector<std::exception_ptr> job_error(njobs);  // boundary failures
+  std::vector<std::exception_ptr> error(njobs);  // per-job failures
   std::vector<std::size_t> slot_of;  // outcomes index -> batch index
-  std::exception_ptr batch_error;    // shared-stage failure fails everyone
   telemetry::JobTrace trace;
   double exec_share = 0;
 
   try {
+    // Front-end failures were captured at submit; such a job never
+    // gathers followers, so it fails here alone.
+    if (lead.front_end_error) std::rethrow_exception(lead.front_end_error);
     telemetry::JobTraceScope tracing(&trace);
 
     CacheOutcome outcome;
@@ -508,28 +368,46 @@ void OverlayService::execute_fused(
       shared.reconfig_seconds = assignment.reconfig_seconds;
     }
 
-    std::shared_ptr<const overlay::ExecPlan> plan;
-    {
+    // Steady-state datapath: the cached specialization's precompiled
+    // execution plan (lowered lazily, reused across jobs) runs on the
+    // batched bit-level executor; the interpreter remains the reference
+    // engine when the plan executor is disabled. Plan lookup (and a
+    // first-touch lowering) happens before the exec timer starts, so
+    // exec_seconds stays a datapath measurement.
+    std::optional<overlay::PlanExecutor> executor;
+    if (options_.use_plan_executor) {
       VCGRA_TRACE_SPAN("plan.fetch");
-      plan = cache_.plan_for(lead.keys, compiled, options_.sim);
+      executor.emplace(cache_.plan_for(lead.keys, compiled, options_.sim));
+      shared.plan_executed = true;
     }
-    shared.plan_executed = true;
+    VCGRA_TRACE_SPAN("exec.run");
+    common::WallTimer exec;
 
-    // Per-job input views resolved to plan buffer indices. The views
-    // borrow from the requests, which outlive the sweep. A job whose
-    // streams fail translation is excluded from the sweep and fails
-    // alone; the rest of the batch runs.
+    // Input-name resolution. Cached artifacts carry canonical
+    // (alpha-renamed) signal names so isomorphic kernels share them; the
+    // job's streams use the kernel's real names. Each stream resolves to
+    // its plan buffer (on the interpreter, its input-name rank). The
+    // views borrow from the requests, which outlive the exec step. A job
+    // whose streams fail resolution fails alone; the rest of the batch
+    // runs.
     //
-    // The batch shares one configuration, so the lead's stream names
-    // are resolved (canonical translation + plan buffer lookup) once;
-    // every follower whose stream name lists match the lead's byte for
-    // byte — the overwhelmingly common case — reuses that table and
-    // pays zero string work. A follower with different real names (an
-    // isomorphic kernel text) falls back to its own translation.
-    overlay::PlanExecutor executor(plan);
+    // The batch shares one configuration, so the lead's stream names are
+    // resolved once; every follower whose stream name lists match the
+    // lead's byte for byte — the overwhelmingly common case — reuses that
+    // table and pays zero string work. A follower with different real
+    // names (an isomorphic kernel text) resolves its own.
+    const auto resolve = [&](const std::string& name) -> std::int32_t {
+      if (executor) return executor->resolve_input(name);
+      const auto& known = compiled->input_node_by_name;
+      const auto it = known.find(name);
+      if (it == known.end()) {
+        throw std::invalid_argument("unknown input stream '" + name + "'");
+      }
+      return static_cast<std::int32_t>(std::distance(known.begin(), it));
+    };
     struct NameSlot {
       const std::string* name;  // lead's real stream name
-      std::int32_t buffer;      // resolved plan buffer
+      std::int32_t buffer;      // resolved stream index
       bool bits;                // from input_bits, not inputs
     };
     std::vector<NameSlot> table;
@@ -578,10 +456,12 @@ void OverlayService::execute_fused(
           slots.reserve(request.inputs.size() + request.input_bits.size());
           const auto add = [&](const std::string& name,
                                const overlay::BatchStream& stream, bool bits) {
-            const std::int32_t buffer = executor.resolve_input(
-                canonical ? name : job.parsed->canonical_name(name));
+            const std::int32_t buffer =
+                resolve(canonical ? name : job.parsed->canonical_name(name));
             for (const NameSlot& prior : slots) {
               if (prior.buffer != buffer) continue;
+              // A stray stream whose canonical name collides with another
+              // stream's must fail loudly, never silently clobber data.
               throw std::invalid_argument(
                   bits ? "input stream '" + name +
                              "' provided as both doubles and raw bits"
@@ -609,18 +489,23 @@ void OverlayService::execute_fused(
         raw.push_back(request.raw_output);
         slot_of.push_back(j);
       } catch (...) {
-        job_error[j] = std::current_exception();
+        error[j] = std::current_exception();
       }
     }
 
-    VCGRA_TRACE_SPAN("exec.run");
-    common::WallTimer exec;
-    outcomes = executor.run_batch_resolved(inputs, raw);
-    // Each job reports an equal share of the sweep so sums over jobs
+    outcomes = executor ? executor->run_batch_resolved(inputs, raw)
+                        : interpret(compiled, options_.sim, inputs, raw);
+    // Each job reports an equal share of the exec step so sums over jobs
     // still total the real datapath time.
     exec_share = exec.seconds() / static_cast<double>(njobs);
   } catch (...) {
-    batch_error = std::current_exception();
+    // A shared-stage failure fails every job of the batch.
+    std::fill(error.begin(), error.end(), std::current_exception());
+  }
+  std::vector<overlay::PlanExecutor::BatchOutcome*> outcome_of(njobs, nullptr);
+  for (std::size_t k = 0; k < outcomes.size(); ++k) {
+    outcome_of[slot_of[k]] = &outcomes[k];
+    if (!error[slot_of[k]]) error[slot_of[k]] = outcomes[k].error;
   }
 
   // The lead job's queue wait stands in for the batch in the trace; each
@@ -630,23 +515,21 @@ void OverlayService::execute_fused(
                                  picked_ns - lead.submit_ns, trace.trace_id);
   const std::vector<telemetry::StageTiming> stages = trace.stage_breakdown();
 
-  std::vector<overlay::PlanExecutor::BatchOutcome*> outcome_of(njobs, nullptr);
-  for (std::size_t k = 0; k < outcomes.size(); ++k) {
-    outcome_of[slot_of[k]] = &outcomes[k];
-  }
-
+  // Every result is built and the books are settled before any promise
+  // resolves, so a client reading stats() right after its get() sees
+  // its batch counted.
+  std::vector<JobResult> results(njobs);
   std::uint64_t failed = 0;
+  double slowest = 0;  // latency of the batch's slowest successful job
+  ServiceMetrics& metrics = service_metrics();
   for (std::size_t j = 0; j < njobs; ++j) {
-    PendingJob& job = *batch[j];
-    std::exception_ptr error = batch_error;
-    if (!error) error = job_error[j];
-    if (!error && outcome_of[j] != nullptr) error = outcome_of[j]->error;
-    if (error) {
+    if (error[j]) {
       ++failed;
-      job.promise.set_exception(error);
       continue;
     }
-    JobResult result = shared;
+    const PendingJob& job = *batch[j];
+    JobResult& result = results[j];
+    result = shared;
     if (j > 0) {
       // Followers are cache hits by construction: the one-time costs
       // (compile, specialize, disk load, reconfig) stay on the lead so
@@ -676,31 +559,43 @@ void OverlayService::execute_fused(
     }
     result.trace_id = trace.trace_id;
     result.latency_seconds = job.since_submit.seconds();
-    record_result(result);
-    job.promise.set_value(std::move(result));
+    slowest = std::max(slowest, result.latency_seconds);
+    latency_hist_.record_seconds(result.latency_seconds);
+    queue_hist_.record_seconds(result.queue_seconds);
+    exec_hist_.record_seconds(result.exec_seconds);
+    metrics.latency.record_seconds(result.latency_seconds);
+    metrics.queue.record_seconds(result.queue_seconds);
+    metrics.exec.record_seconds(result.exec_seconds);
   }
-
-  if (failed > 0) service_metrics().failed.add(failed);
+  const std::uint64_t ok = njobs - failed;
+  if (ok > 0) metrics.ok.add(ok);
+  if (failed > 0) metrics.failed.add(failed);
   {
     std::lock_guard<std::mutex> lock(mutex_);
+    jobs_completed_ += ok;
     jobs_failed_ += failed;
-    ++fused_batches_;
-    batched_jobs_ += njobs;
+    exec_seconds_total_ += exec_share * static_cast<double>(ok);
+    if (njobs > 1) {
+      ++fused_batches_;
+      batched_jobs_ += njobs;
+    }
   }
-}
 
-void OverlayService::record_result(const JobResult& result) {
-  latency_hist_.record_seconds(result.latency_seconds);
-  queue_hist_.record_seconds(result.queue_seconds);
-  exec_hist_.record_seconds(result.exec_seconds);
-  ServiceMetrics& m = service_metrics();
-  m.ok.add(1);
-  m.latency.record_seconds(result.latency_seconds);
-  m.queue.record_seconds(result.queue_seconds);
-  m.exec.record_seconds(result.exec_seconds);
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++jobs_completed_;
-  exec_seconds_total_ += result.exec_seconds;
+  if (options_.slow_job_threshold > 0 &&
+      slowest >= options_.slow_job_threshold) {
+    VCGRA_LOG_WARN() << "slow job trace " << trace.trace_id << " ("
+                     << common::human_seconds(slowest) << " >= "
+                     << common::human_seconds(options_.slow_job_threshold)
+                     << " threshold) span tree:\n" << trace.tree_string();
+  }
+
+  for (std::size_t j = 0; j < njobs; ++j) {
+    if (error[j]) {
+      batch[j]->promise.set_exception(error[j]);
+    } else {
+      batch[j]->promise.set_value(std::move(results[j]));
+    }
+  }
 }
 
 void OverlayService::note_task_submitted() {

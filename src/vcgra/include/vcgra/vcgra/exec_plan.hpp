@@ -20,6 +20,14 @@
 // arena is warm — processing streams in cache-friendly blocks through
 // the format-specialized batch kernels of softfloat/batch.hpp.
 //
+// Every entry point is a thin adapter over ONE sweep core: a per-job
+// length planner, one op dispatch, and one sweep tiled in fixed-size
+// blocks over job-striped buffers (each buffer holds its jobs' segments
+// back to back). A lone job (run/run_doubles/run_views) is a stripe of
+// one, a fused batch (run_batch*) a stripe of N, and a session chunk
+// (run_chunk) a stripe of one whose MAC accumulators come from and
+// return to a StreamCarry.
+//
 // Bit-exactness with the legacy Simulator (outputs, cycles, fp_ops,
 // mac_ops, pipeline_depth) is a hard contract across all FP formats; the
 // interpreter stays as the reference oracle and test_exec_plan's
@@ -170,16 +178,17 @@ struct ResolvedStream {
 using ResolvedJob = std::vector<ResolvedStream>;
 
 /// Cross-chunk streaming state of one specialization: the plan's
-/// MAC/decimation accumulators plus the cumulative op totals, promoted
-/// from the executor's internal block-sweep carry to an API object so a
-/// long-lived session can feed an unbounded stream in chunks.
+/// MAC/decimation accumulators plus the cumulative op totals, so a
+/// long-lived session can feed an unbounded stream in chunks. The sweep
+/// core starts a chunk's MacStates from this carry (the same states it
+/// carries across its blocks) and writes them back when the chunk ends.
 ///
 /// The contract (enforced by the chunked-feed differential in
 /// test_graph): feeding a stream through run_chunk in any chunking —
 /// including chunks that straddle MAC decimation boundaries and the
-/// executor's internal block size — produces bit-identical concatenated
-/// outputs and identical cumulative cycles/fp_ops/mac_ops to one
-/// run()/run_doubles() call over the whole stream.
+/// sweep's block size — produces bit-identical concatenated outputs and
+/// identical cumulative cycles/fp_ops/mac_ops to one run()/run_doubles()
+/// call over the whole stream.
 struct StreamCarry {
   /// One accumulator per plan MAC op (sized on first use). `consumed`
   /// accumulates total samples folded, for diagnostics only.
@@ -215,13 +224,15 @@ class PlanExecutor {
 
   /// Execute N jobs that share this specialization as ONE tape sweep:
   /// every stream buffer becomes a stripe of per-job segments laid out
-  /// back to back, each elementwise op runs as a single batch-kernel
-  /// call over its whole stripe (coefficient decode amortized once per
-  /// batch), and MAC ops keep one MacState per (op, job). Per-job
-  /// results — outputs, cycles, fp_ops, mac_ops — are bit-identical to
-  /// running each job alone through run()/run_doubles() (element
-  /// independence of the kernels plus fp_mac_n's chunking invariance
-  /// make that structural, and the differential fuzz enforces it).
+  /// back to back, and the sweep runs in blocks over the stripes. Each
+  /// elementwise op is one batch-kernel call per block, across job
+  /// boundaries (coefficient decode amortized over the block); MAC ops,
+  /// and a two-stream mul whose second operand is longer, walk per-job
+  /// segments, with one MacState per (op, job). Per-job results —
+  /// outputs, cycles, fp_ops, mac_ops — are bit-identical to running
+  /// each job alone through run()/run_doubles() (element independence of
+  /// the kernels plus fp_mac_n's chunking invariance make that
+  /// structural, and the differential fuzz enforces it).
   /// `raw_outputs` (empty = all false, else one flag per job) fills that
   /// job's RunResult::bit_outputs instead of `outputs`, skipping the
   /// FpValue materialization entirely.

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
 #include <string_view>
 
@@ -330,11 +332,17 @@ ParsedKernel parse_kernel_symbolic(const std::string& text) {
         canonical += parsed.canonical_names.at(arg_names[i]);
       }
       if (kind == OpKind::kMac) {
+        // The whole token must be a decimal count that fits the PE's
+        // counter: no trailing junk, no silent wrap of out-of-range values.
+        const std::string& count_text = arg_names[2];
         char* end = nullptr;
-        count = static_cast<int>(std::strtol(arg_names[2].c_str(), &end, 10));
-        if (end == arg_names[2].c_str() || count <= 0) {
+        errno = 0;
+        const long long value = std::strtoll(count_text.c_str(), &end, 10);
+        if (end == count_text.c_str() || *end != '\0' || errno == ERANGE ||
+            value <= 0 || value > std::numeric_limits<int>::max()) {
           parse_fail(line_number, column, "mac count must be a positive integer");
         }
+        count = static_cast<int>(value);
         // The accumulation length is structural (it configures the PE's
         // iteration counter, not a coefficient), so it stays in the text.
         canonical += common::strprintf(",%d", count);

@@ -335,64 +335,53 @@ PlanExecutor::PlanExecutor(std::shared_ptr<const ExecPlan> plan)
 
 namespace {
 
-/// Shared body of run()/run_doubles(): validate names and lengths like
-/// the interpreter, size every stream buffer, reserve the arena once,
-/// seed the inputs with one batch pass, then sweep the tape in blocks.
-/// `seed_one(stream, dst)` encodes/copies one provided stream into its
-/// arena buffer.
-template <typename StreamMap, typename SeedOne>
-RunResult execute_plan(const ExecPlan& plan, const StreamMap& inputs,
-                       SeedOne&& seed_one) {
-  RunResult result;
-
-  // Stream length (first nonzero wins, mismatches throw) — the
-  // interpreter's exact acceptance rules, including unknown names.
+/// One job of a sweep: its acceptance verdict, input stream length and
+/// closed-form op totals.
+struct JobSlot {
+  std::exception_ptr error;  // set = job excluded from the sweep
   std::size_t length = 0;
-  for (const auto& [name, stream] : inputs) {
-    if (length == 0) length = stream.size();
-    if (stream.size() != length) {
-      throw std::invalid_argument("PlanExecutor: input stream lengths differ");
-    }
-  }
-  for (const auto& [name, stream] : inputs) {
-    if (!plan.input_buffer_by_name.count(name)) {
-      throw std::invalid_argument("PlanExecutor: unknown input stream '" +
-                                  name + "'");
-    }
-  }
+  std::uint64_t fp_ops = 0;
+  std::uint64_t mac_ops = 0;
+};
 
-  ExecArena& arena = ExecArena::this_thread();
-  const std::size_t buffers = static_cast<std::size_t>(plan.num_buffers);
-  // Two passes over the shape: first compute every buffer's length (and
-  // the closed-form op totals), then reserve the word pool in one go so
-  // the bump slices stay stable.
-  arena.begin_job(buffers, static_cast<std::size_t>(plan.num_mac_ops));
-  std::vector<std::size_t>& lens = arena.lengths();
-  for (const auto& [name, stream] : inputs) {
-    lens[static_cast<std::size_t>(plan.input_buffer_by_name.at(name))] =
-        stream.size();
-  }
+/// The calling thread's job table, reset to `njobs` clean slots. Like the
+/// arena, its capacity only grows, so warm sweeps allocate nothing here.
+std::vector<JobSlot>& job_table(std::size_t njobs) {
+  thread_local std::vector<JobSlot> table;
+  table.assign(njobs, JobSlot{});
+  return table;
+}
 
+[[noreturn]] void throw_missing_operand(const ExecPlan::Op& op, int src) {
+  throw std::runtime_error(common::strprintf(
+      "PlanExecutor: operand stream for node %d missing (src %d)", op.node,
+      src));
+}
+
+/// The length planner: one walk of the tape for job `j` of `njobs` that
+/// sets every buffer's length (`lens` is indexed [buffer * njobs + j]),
+/// adds the closed-form op totals to `slot` and enforces the
+/// interpreter's operand rules. `carry` (session chunks only) holds the
+/// MAC fill levels the chunk starts from.
+void plan_lengths(const ExecPlan& plan, std::size_t njobs, std::size_t j,
+                  const StreamCarry* carry, std::vector<std::size_t>& lens,
+                  JobSlot& slot) {
+  const auto len = [&](std::int32_t buffer) -> std::size_t& {
+    return lens[static_cast<std::size_t>(buffer) * njobs + j];
+  };
   for (const ExecPlan::Op& op : plan.tape) {
-    const std::size_t la = lens[static_cast<std::size_t>(op.a)];
-    if (la == kAbsent) {
-      throw std::runtime_error(common::strprintf(
-          "PlanExecutor: operand stream for node %d missing (src %d)", op.node,
-          op.src_a));
-    }
-    std::size_t lb = 0;
+    const std::size_t la = len(op.a);
+    if (la == kAbsent) throw_missing_operand(op, op.src_a);
+    std::size_t lb = la;
     if (op.b >= 0) {
-      lb = lens[static_cast<std::size_t>(op.b)];
-      if (lb == kAbsent) {
-        throw std::runtime_error(common::strprintf(
-            "PlanExecutor: operand stream for node %d missing (src %d)",
-            op.node, op.src_b));
-      }
+      lb = len(op.b);
+      if (lb == kAbsent) throw_missing_operand(op, op.src_b);
     }
+    std::size_t& ld = len(op.dst);
+    ld = la;
     switch (op.code) {
       case ExecPlan::OpCode::kMulCoeff:
-        lens[static_cast<std::size_t>(op.dst)] = la;
-        result.fp_ops += la;
+        slot.fp_ops += la;
         break;
       case ExecPlan::OpCode::kMulStream:
         // The interpreter streams args[0]'s length and indexes into
@@ -402,352 +391,128 @@ RunResult execute_plan(const ExecPlan& plan, const StreamMap& inputs,
           throw std::runtime_error(
               "PlanExecutor: mul stream operands shorter than the first");
         }
-        lens[static_cast<std::size_t>(op.dst)] = la;
-        result.fp_ops += la;
+        slot.fp_ops += la;
         break;
       case ExecPlan::OpCode::kAdd:
       case ExecPlan::OpCode::kSub:
-        if (la != lb) {
-          throw std::runtime_error(
-              "PlanExecutor: add/sub needs two equal streams");
-        }
-        lens[static_cast<std::size_t>(op.dst)] = la;
-        result.fp_ops += la;
-        break;
       case ExecPlan::OpCode::kAxpy:
       case ExecPlan::OpCode::kXpay:
-        // A fused multiply + add: the product stream the interpreter
-        // materializes has operand b's (kAxpy) / operand a's (kXpay)
-        // length, and the add still demands equal streams.
+        // A fused multiply + add still demands equal streams and counts
+        // both of its rounding steps.
         if (la != lb) {
           throw std::runtime_error(
               "PlanExecutor: add/sub needs two equal streams");
         }
-        lens[static_cast<std::size_t>(op.dst)] = la;
-        result.fp_ops += 2 * la;
+        slot.fp_ops += (op.code == ExecPlan::OpCode::kAxpy ||
+                        op.code == ExecPlan::OpCode::kXpay)
+                           ? 2 * la
+                           : la;
         break;
-      case ExecPlan::OpCode::kMac:
-        lens[static_cast<std::size_t>(op.dst)] = op.count ? la / op.count : 0;
-        result.fp_ops += 2 * la;
-        result.mac_ops += la;
+      case ExecPlan::OpCode::kMac: {
+        // Every fold the carried fill level plus these samples complete
+        // is emitted here: a chunk boundary mid-accumulation emits
+        // nothing and the next chunk emits early.
+        const std::size_t filled =
+            carry ? carry->mac[static_cast<std::size_t>(op.mac_slot)].filled
+                  : 0;
+        ld = op.count ? (filled + la) / op.count : 0;
+        slot.fp_ops += 2 * la;
+        slot.mac_ops += la;
         break;
-    }
-  }
-
-  std::size_t total_words = 0;
-  for (std::size_t b = 0; b < buffers; ++b) {
-    if (lens[b] != kAbsent) total_words += lens[b];
-  }
-  arena.reserve_words(total_words);
-
-  std::vector<std::size_t>& offsets = arena.offsets();
-  for (std::size_t b = 0; b < buffers; ++b) {
-    if (lens[b] == kAbsent) continue;
-    offsets[b] = static_cast<std::size_t>(arena.take(lens[b]) - arena.words());
-  }
-
-  // Boundary pass: encode/copy every provided stream into its buffer.
-  std::uint64_t span_start = telemetry::child_span_start();
-  for (const auto& [name, stream] : inputs) {
-    const std::size_t buf =
-        static_cast<std::size_t>(plan.input_buffer_by_name.at(name));
-    seed_one(stream, arena.words() + offsets[buf]);
-  }
-  telemetry::record_child_span("exec.encode", span_start);
-  span_start = telemetry::child_span_start();
-
-  // Sweep the tape in cache-friendly blocks. Every buffer tracks how
-  // many elements it holds so far; MAC decimation makes rates differ,
-  // and the carried MacState lets an accumulation straddle blocks.
-  std::vector<std::size_t>& produced = arena.produced();
-  std::vector<ExecArena::MacState>& mac = arena.mac_states();
-  std::uint64_t* const words = arena.words();
-  const softfloat::FpFormat format = plan.format;
-  std::size_t pos = 0;
-  while (pos < length) {
-    pos = std::min(length, pos + kBlockElems);
-    for (const auto& [name, buf] : plan.input_buffer_by_name) {
-      const std::size_t b = static_cast<std::size_t>(buf);
-      if (lens[b] != kAbsent) produced[b] = std::min(lens[b], pos);
-    }
-    for (const ExecPlan::Op& op : plan.tape) {
-      const std::size_t a = static_cast<std::size_t>(op.a);
-      const std::size_t dst = static_cast<std::size_t>(op.dst);
-      if (op.code == ExecPlan::OpCode::kMac) {
-        ExecArena::MacState& state = mac[static_cast<std::size_t>(op.mac_slot)];
-        const std::size_t n = produced[a] - state.consumed;
-        if (n == 0) continue;
-        if (op.count == 0) {  // never emits; the accumulator is unobservable
-          state.consumed = produced[a];
-          continue;
-        }
-        const std::size_t emitted = softfloat::fp_mac_n(
-            format, words + offsets[a] + state.consumed, op.coeff_bits,
-            op.count, words + offsets[dst] + produced[dst], n, &state.acc,
-            &state.filled);
-        state.consumed += n;
-        produced[dst] += emitted;
-        continue;
       }
-      const std::size_t done = produced[dst];
-      std::size_t avail = produced[a];
-      if (op.b >= 0) {
-        avail = std::min(avail, produced[static_cast<std::size_t>(op.b)]);
-      }
-      const std::size_t n = avail - done;
-      if (n == 0) continue;
-      const std::uint64_t* pa = words + offsets[a] + done;
-      std::uint64_t* pd = words + offsets[dst] + done;
-      switch (op.code) {
-        case ExecPlan::OpCode::kMulCoeff:
-          softfloat::fp_mul_coeff_n(format, pa, op.coeff_bits, pd, n);
-          break;
-        case ExecPlan::OpCode::kMulStream:
-          softfloat::fp_mul_n(
-              format, pa, words + offsets[static_cast<std::size_t>(op.b)] + done,
-              pd, n);
-          break;
-        case ExecPlan::OpCode::kAdd:
-          softfloat::fp_add_n(
-              format, pa, words + offsets[static_cast<std::size_t>(op.b)] + done,
-              pd, n);
-          break;
-        case ExecPlan::OpCode::kSub:
-          softfloat::fp_add_xor_n(
-              format, pa, words + offsets[static_cast<std::size_t>(op.b)] + done,
-              op.xor_mask, pd, n);
-          break;
-        case ExecPlan::OpCode::kAxpy:
-          softfloat::fp_axpy_n(
-              format, pa, words + offsets[static_cast<std::size_t>(op.b)] + done,
-              op.coeff_bits, op.xor_mask, pd, n);
-          break;
-        case ExecPlan::OpCode::kXpay:
-          softfloat::fp_xpay_n(
-              format, pa, op.coeff_bits,
-              words + offsets[static_cast<std::size_t>(op.b)] + done,
-              op.xor_mask, pd, n);
-          break;
-        case ExecPlan::OpCode::kMac:
-          break;  // handled above
-      }
-      produced[dst] = avail;
-    }
-  }
-
-  telemetry::record_child_span("exec.tape", span_start);
-  span_start = telemetry::child_span_start();
-
-  // Materialize the result streams (the only per-job allocations: the
-  // returned RunResult itself).
-  for (const ExecPlan::OutputSlot& slot : plan.outputs) {
-    const std::size_t buf = static_cast<std::size_t>(slot.buffer);
-    if (lens[buf] == kAbsent) {
-      throw std::runtime_error("PlanExecutor: output stream missing");
-    }
-    std::vector<FpValue> out(lens[buf]);
-    const std::uint64_t* p = words + offsets[buf];
-    FpValue* q = out.data();
-    for (std::size_t i = 0; i < lens[buf]; ++i) q[i] = FpValue(format, p[i]);
-    result.outputs.emplace(slot.name, std::move(out));
-  }
-
-  telemetry::record_child_span("exec.decode", span_start);
-
-  result.pipeline_depth = plan.pipeline_depth;
-  result.cycles = static_cast<std::uint64_t>(plan.pipeline_depth) +
-                  (length > 0 ? length - 1 : 0);
-  return result;
-}
-
-}  // namespace
-
-RunResult PlanExecutor::run(
-    const std::map<std::string, std::vector<FpValue>>& inputs) const {
-  return execute_plan(*plan_, inputs,
-                      [](const std::vector<FpValue>& stream, std::uint64_t* dst) {
-                        for (std::size_t i = 0; i < stream.size(); ++i) {
-                          dst[i] = stream[i].bits();
-                        }
-                      });
-}
-
-RunResult PlanExecutor::run_doubles(
-    const std::map<std::string, std::vector<double>>& inputs) const {
-  const softfloat::FpFormat format = plan_->format;
-  return execute_plan(*plan_, inputs,
-                      [format](const std::vector<double>& stream,
-                               std::uint64_t* dst) {
-                        softfloat::fp_from_double_n(format, stream.data(), dst,
-                                                    stream.size());
-                      });
-}
-
-// --- Fused batch execution ---------------------------------------------------
-
-namespace {
-
-/// Everything the output-materialization passes need after the fused
-/// sweep: per-job acceptance verdicts and closed-form op totals. The
-/// stripe geometry itself stays in the thread arena, indexed
-/// [buffer * njobs + job] for both lengths and absolute word offsets.
-struct BatchLayout {
-  std::size_t njobs = 0;
-  std::vector<std::size_t> job_length;    // input stream length per job
-  std::vector<std::exception_ptr> error;  // set = job excluded from sweep
-  std::vector<std::uint64_t> fp_ops;
-  std::vector<std::uint64_t> mac_ops;
-};
-
-/// Convert name-keyed batch jobs to resolved (buffer-indexed) form,
-/// capturing per-job failures instead of failing the batch — the
-/// single-job acceptance rules, in the single-job order (length
-/// mismatch before unknown name).
-void resolve_jobs(const ExecPlan& plan, const std::vector<BatchInputs>& jobs,
-                  std::vector<ResolvedJob>* resolved,
-                  std::vector<std::exception_ptr>* pre_error) {
-  resolved->resize(jobs.size());
-  pre_error->resize(jobs.size());
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    try {
-      std::size_t length = 0;
-      for (const auto& [name, stream] : jobs[j]) {
-        if (length == 0) length = stream.size;
-        if (stream.size != length) {
-          throw std::invalid_argument(
-              "PlanExecutor: input stream lengths differ");
-        }
-      }
-      ResolvedJob& job = (*resolved)[j];
-      job.reserve(jobs[j].size());
-      for (const auto& [name, stream] : jobs[j]) {
-        const auto it = plan.input_buffer_by_name.find(name);
-        if (it == plan.input_buffer_by_name.end()) {
-          throw std::invalid_argument("PlanExecutor: unknown input stream '" +
-                                      name + "'");
-        }
-        job.push_back(ResolvedStream{it->second, stream});
-      }
-    } catch (...) {
-      (*pre_error)[j] = std::current_exception();
-      (*resolved)[j].clear();
     }
   }
 }
 
-/// Shared body of run_batch()/run_views(): validate every job with the
-/// single-job acceptance rules (capturing failures per job instead of
-/// failing the batch), stripe each buffer as the valid jobs' segments
-/// back to back, seed all inputs in one boundary pass, then sweep the
-/// tape once — each elementwise op as a single kernel call over its
-/// whole stripe. No block tiling here: fused batches exist for the
-/// many-small-jobs regime, where whole-stripe calls are exactly the
-/// amortization wanted (and bit-exactness is chunking-independent).
-/// `pre_error` (empty = none) marks jobs that already failed name
-/// resolution; they are excluded exactly like a validation failure.
-BatchLayout execute_batch_core(const ExecPlan& plan,
-                               const std::vector<ResolvedJob>& jobs,
-                               const std::vector<std::exception_ptr>& pre_error) {
-  const std::size_t njobs = jobs.size();
+/// The op dispatch: run `op` over `n` elements of its operands `pa`/`pb`
+/// into `pd`; returns how many outputs it wrote (fewer than `n` only for
+/// a decimating kMac, which folds into `mac`).
+std::size_t dispatch(const ExecPlan::Op& op, softfloat::FpFormat format,
+                     const std::uint64_t* pa, const std::uint64_t* pb,
+                     std::uint64_t* pd, std::size_t n,
+                     ExecArena::MacState* mac) {
+  switch (op.code) {
+    case ExecPlan::OpCode::kMulCoeff:
+      softfloat::fp_mul_coeff_n(format, pa, op.coeff_bits, pd, n);
+      break;
+    case ExecPlan::OpCode::kMulStream:
+      softfloat::fp_mul_n(format, pa, pb, pd, n);
+      break;
+    case ExecPlan::OpCode::kAdd:
+      softfloat::fp_add_n(format, pa, pb, pd, n);
+      break;
+    case ExecPlan::OpCode::kSub:
+      softfloat::fp_add_xor_n(format, pa, pb, op.xor_mask, pd, n);
+      break;
+    case ExecPlan::OpCode::kAxpy:
+      softfloat::fp_axpy_n(format, pa, pb, op.coeff_bits, op.xor_mask, pd, n);
+      break;
+    case ExecPlan::OpCode::kXpay:
+      softfloat::fp_xpay_n(format, pa, op.coeff_bits, pb, op.xor_mask, pd, n);
+      break;
+    case ExecPlan::OpCode::kMac:
+      // count == 0 never emits; the accumulator is unobservable.
+      return op.count ? softfloat::fp_mac_n(format, pa, op.coeff_bits,
+                                            op.count, pd, n, &mac->acc,
+                                            &mac->filled)
+                      : 0;
+  }
+  return n;
+}
+
+/// The one plan sweep, shared by every entry point: a lone job is a
+/// stripe of one, a session chunk a stripe of one whose MAC accumulators
+/// start from (and return to) `carry`.
+///
+/// Each job of `table` that has no error yet is checked with the
+/// single-job acceptance rules and planned; a rejected job fails alone.
+/// Every buffer then becomes a stripe of the valid jobs' segments back
+/// to back in job order, all inputs are seeded in one boundary pass, and
+/// the tape sweeps the stripes in kBlockElems blocks. An elementwise op
+/// runs as one kernel call per block, across job boundaries (its operand
+/// and destination stripes align element for element). Only kMac (a
+/// serial per-job accumulator) and a kMulStream whose second operand is
+/// longer in some job walk per-job segments. The stripes stay in the
+/// calling thread's arena, indexed [buffer * njobs + job], for the entry
+/// points to materialize.
+void sweep(const ExecPlan& plan, const ResolvedJob* jobs,
+           std::vector<JobSlot>& table, StreamCarry* carry) {
+  const std::size_t njobs = table.size();
   const std::size_t buffers = static_cast<std::size_t>(plan.num_buffers);
-  BatchLayout lay;
-  lay.njobs = njobs;
-  lay.job_length.assign(njobs, 0);
-  lay.error.resize(njobs);
-  lay.fp_ops.assign(njobs, 0);
-  lay.mac_ops.assign(njobs, 0);
-
   ExecArena& arena = ExecArena::this_thread();
   arena.begin_job(buffers * njobs,
                   static_cast<std::size_t>(plan.num_mac_ops) * njobs);
   std::vector<std::size_t>& lens = arena.lengths();
+  const std::size_t inputs = plan.input_buffer_by_name.size();
 
   for (std::size_t j = 0; j < njobs; ++j) {
+    JobSlot& slot = table[j];
+    if (slot.error) continue;
     try {
-      if (!pre_error.empty() && pre_error[j]) {
-        std::rethrow_exception(pre_error[j]);
-      }
-      std::size_t length = 0;
       for (const ResolvedStream& entry : jobs[j]) {
-        if (length == 0) length = entry.stream.size;
-        if (entry.stream.size != length) {
+        if (slot.length == 0) slot.length = entry.stream.size;
+        if (entry.stream.size != slot.length) {
           throw std::invalid_argument(
               "PlanExecutor: input stream lengths differ");
         }
       }
-      lay.job_length[j] = length;
       for (const ResolvedStream& entry : jobs[j]) {
-        if (entry.buffer < 0 || entry.buffer >= plan.num_buffers) {
+        if (entry.buffer < 0 ||
+            static_cast<std::size_t>(entry.buffer) >= inputs) {
           throw std::invalid_argument(
               "PlanExecutor: resolved stream buffer index out of range");
         }
-        std::size_t& slot =
+        std::size_t& len =
             lens[static_cast<std::size_t>(entry.buffer) * njobs + j];
-        if (slot != kAbsent) {
+        if (len != kAbsent) {
           throw std::invalid_argument(
               "PlanExecutor: duplicate resolved input stream");
         }
-        slot = entry.stream.size;
+        len = entry.stream.size;
       }
-      for (const ExecPlan::Op& op : plan.tape) {
-        const std::size_t la = lens[static_cast<std::size_t>(op.a) * njobs + j];
-        if (la == kAbsent) {
-          throw std::runtime_error(common::strprintf(
-              "PlanExecutor: operand stream for node %d missing (src %d)",
-              op.node, op.src_a));
-        }
-        std::size_t lb = 0;
-        if (op.b >= 0) {
-          lb = lens[static_cast<std::size_t>(op.b) * njobs + j];
-          if (lb == kAbsent) {
-            throw std::runtime_error(common::strprintf(
-                "PlanExecutor: operand stream for node %d missing (src %d)",
-                op.node, op.src_b));
-          }
-        }
-        const std::size_t dst = static_cast<std::size_t>(op.dst) * njobs + j;
-        switch (op.code) {
-          case ExecPlan::OpCode::kMulCoeff:
-            lens[dst] = la;
-            lay.fp_ops[j] += la;
-            break;
-          case ExecPlan::OpCode::kMulStream:
-            if (lb < la) {
-              throw std::runtime_error(
-                  "PlanExecutor: mul stream operands shorter than the first");
-            }
-            lens[dst] = la;
-            lay.fp_ops[j] += la;
-            break;
-          case ExecPlan::OpCode::kAdd:
-          case ExecPlan::OpCode::kSub:
-            if (la != lb) {
-              throw std::runtime_error(
-                  "PlanExecutor: add/sub needs two equal streams");
-            }
-            lens[dst] = la;
-            lay.fp_ops[j] += la;
-            break;
-          case ExecPlan::OpCode::kAxpy:
-          case ExecPlan::OpCode::kXpay:
-            if (la != lb) {
-              throw std::runtime_error(
-                  "PlanExecutor: add/sub needs two equal streams");
-            }
-            lens[dst] = la;
-            lay.fp_ops[j] += 2 * la;
-            break;
-          case ExecPlan::OpCode::kMac:
-            lens[dst] = op.count ? la / op.count : 0;
-            lay.fp_ops[j] += 2 * la;
-            lay.mac_ops[j] += la;
-            break;
-        }
-      }
+      plan_lengths(plan, njobs, j, carry, lens, slot);
     } catch (...) {
-      // A rejected job contributes nothing to the stripes; the rest of
-      // the batch is unaffected.
-      lay.error[j] = std::current_exception();
+      slot.error = std::current_exception();
       for (std::size_t b = 0; b < buffers; ++b) lens[b * njobs + j] = kAbsent;
     }
   }
@@ -757,28 +522,24 @@ BatchLayout execute_batch_core(const ExecPlan& plan,
     if (lens[i] != kAbsent) total_words += lens[i];
   }
   arena.reserve_words(total_words);
-
-  // Segment offsets: per buffer, the valid jobs' segments back to back in
-  // job order — so a consumed buffer's stripe is contiguous and aligns
-  // element-for-element with its consumers' stripes.
   std::vector<std::size_t>& offsets = arena.offsets();
-  for (std::size_t b = 0; b < buffers; ++b) {
-    for (std::size_t j = 0; j < njobs; ++j) {
-      const std::size_t i = b * njobs + j;
-      if (lens[i] == kAbsent) continue;
-      offsets[i] = static_cast<std::size_t>(arena.take(lens[i]) - arena.words());
-    }
+  for (std::size_t i = 0; i < buffers * njobs; ++i) {
+    if (lens[i] == kAbsent) continue;
+    offsets[i] = static_cast<std::size_t>(arena.take(lens[i]) - arena.words());
   }
 
   // Boundary pass: every provided stream of every valid job, bits copied
   // or doubles batch-encoded straight into its segment.
   const softfloat::FpFormat format = plan.format;
+  std::uint64_t* const words = arena.words();
   std::uint64_t span_start = telemetry::child_span_start();
+  std::size_t first = njobs;  // first valid job: its segments start stripes
   for (std::size_t j = 0; j < njobs; ++j) {
-    if (lay.error[j]) continue;
+    if (table[j].error) continue;
+    first = std::min(first, j);
     for (const ResolvedStream& entry : jobs[j]) {
-      const std::size_t i = static_cast<std::size_t>(entry.buffer) * njobs + j;
-      std::uint64_t* dst = arena.words() + offsets[i];
+      std::uint64_t* dst =
+          words + offsets[static_cast<std::size_t>(entry.buffer) * njobs + j];
       if (entry.stream.bits) {
         std::copy(entry.stream.bits, entry.stream.bits + entry.stream.size,
                   dst);
@@ -791,143 +552,233 @@ BatchLayout execute_batch_core(const ExecPlan& plan,
   telemetry::record_child_span("exec.encode", span_start);
   span_start = telemetry::child_span_start();
 
-  // The fused sweep. Topological order means every operand stripe is
-  // complete before its consumer runs, so each op is one whole-stripe
-  // kernel call — except kMac (a serial per-job accumulator) and a
-  // kMulStream whose second operand is longer than the first in some job
-  // (its stripe then misaligns; that op falls back to per-job calls).
-  std::uint64_t* const words = arena.words();
   std::vector<ExecArena::MacState>& mac = arena.mac_states();
-  std::size_t first_valid = njobs;
-  for (std::size_t j = 0; j < njobs; ++j) {
-    if (!lay.error[j]) {
-      first_valid = j;
-      break;
+  const bool carried = carry != nullptr && first < njobs;
+  if (carried) {
+    // `consumed` restarts at zero: it indexes this chunk's operand
+    // segment, not the whole stream.
+    for (std::size_t s = 0; s < mac.size(); ++s) {
+      mac[s].acc = carry->mac[s].acc;
+      mac[s].filled = carry->mac[s].filled;
     }
   }
-  if (first_valid < njobs) {
+
+  // Positions below are stripe-relative: produced[b] elements of buffer
+  // b's stripe are final. Inputs are buffers [0, inputs) (lower() numbers
+  // them first) and are released one block at a time; every op then
+  // catches up as far as its operands allow, so MAC decimation can make
+  // rates differ and an accumulation straddles blocks in its MacState.
+  std::vector<std::size_t>& produced = arena.produced();
+  const auto at = [&](std::int32_t buffer, std::size_t j) {
+    return static_cast<std::size_t>(buffer) * njobs + j;
+  };
+  const auto start = [&](std::int32_t buffer, std::size_t j) {
+    return offsets[at(buffer, j)] - offsets[at(buffer, first)];
+  };
+  // An input's stripe: the valid jobs' segments (a job may hold a
+  // zero-length stream beside its real ones, and omit unconsumed ones).
+  const auto input_stripe = [&](std::size_t b) {
+    std::size_t n = 0;
+    for (std::size_t j = first; j < njobs; ++j) {
+      if (lens[b * njobs + j] != kAbsent) n += lens[b * njobs + j];
+    }
+    return n;
+  };
+  std::size_t stripe = 0;
+  for (std::size_t b = 0; b < inputs; ++b) {
+    stripe = std::max(stripe, input_stripe(b));
+  }
+  for (std::size_t pos = 0; pos < stripe;) {
+    pos = std::min(stripe, pos + kBlockElems);
+    for (std::size_t b = 0; b < inputs; ++b) {
+      produced[b] = std::min(pos, input_stripe(b));
+    }
     for (const ExecPlan::Op& op : plan.tape) {
-      const std::size_t a0 = static_cast<std::size_t>(op.a) * njobs;
-      const std::size_t d0 = static_cast<std::size_t>(op.dst) * njobs;
-      if (op.code == ExecPlan::OpCode::kMac) {
-        for (std::size_t j = 0; j < njobs; ++j) {
-          if (lay.error[j]) continue;
-          const std::size_t n = lens[a0 + j];
-          if (n == 0 || op.count == 0) continue;
+      const std::size_t a = static_cast<std::size_t>(op.a);
+      const std::size_t d = static_cast<std::size_t>(op.dst);
+      bool aligned = op.code != ExecPlan::OpCode::kMac;
+      if (op.code == ExecPlan::OpCode::kMulStream) {
+        for (std::size_t j = first; j < njobs && aligned; ++j) {
+          aligned = table[j].error || lens[at(op.a, j)] == lens[at(op.b, j)];
+        }
+      }
+      if (aligned) {
+        const std::size_t done = produced[d];
+        std::size_t avail = produced[a];
+        if (op.b >= 0) {
+          avail = std::min(avail, produced[static_cast<std::size_t>(op.b)]);
+        }
+        if (avail <= done) continue;
+        dispatch(op, format, words + offsets[at(op.a, first)] + done,
+                 op.b >= 0 ? words + offsets[at(op.b, first)] + done : nullptr,
+                 words + offsets[at(op.dst, first)] + done, avail - done,
+                 nullptr);
+        produced[d] = avail;
+        continue;
+      }
+      // Per-job segments, in job order: the destination stripe grows as
+      // a prefix, so every earlier job's segment is already complete.
+      for (std::size_t j = first; j < njobs; ++j) {
+        if (table[j].error) continue;
+        const std::size_t ia = at(op.a, j);
+        const std::size_t sa = start(op.a, j);
+        if (produced[a] <= sa) break;
+        const std::size_t upto = std::min(produced[a] - sa, lens[ia]);
+        const std::size_t written = produced[d] - start(op.dst, j);
+        if (op.code == ExecPlan::OpCode::kMac) {
           ExecArena::MacState& state =
               mac[static_cast<std::size_t>(op.mac_slot) * njobs + j];
-          softfloat::fp_mac_n(format, words + offsets[a0 + j], op.coeff_bits,
-                              op.count, words + offsets[d0 + j], n, &state.acc,
-                              &state.filled);
-          state.consumed = n;
+          if (upto == state.consumed) continue;
+          produced[d] += dispatch(
+              op, format, words + offsets[ia] + state.consumed, nullptr,
+              words + offsets[at(op.dst, j)] + written, upto - state.consumed,
+              &state);
+          state.consumed = upto;
+          continue;
         }
-        continue;
-      }
-      const std::size_t b0 =
-          op.b >= 0 ? static_cast<std::size_t>(op.b) * njobs : 0;
-      bool whole = true;
-      if (op.code == ExecPlan::OpCode::kMulStream) {
-        for (std::size_t j = 0; j < njobs && whole; ++j) {
-          if (!lay.error[j] && lens[a0 + j] != lens[b0 + j]) whole = false;
+        // kMulStream with a longer second operand: the destination
+        // aligns with operand a, operand b only at each segment start.
+        if (written >= lens[ia]) continue;
+        const std::size_t sb = start(op.b, j);
+        const std::size_t pb = produced[static_cast<std::size_t>(op.b)];
+        const std::size_t avail = std::min(upto, pb > sb ? pb - sb : 0);
+        if (avail > written) {
+          dispatch(op, format, words + offsets[ia] + written,
+                   words + offsets[at(op.b, j)] + written,
+                   words + offsets[at(op.dst, j)] + written, avail - written,
+                   nullptr);
+          produced[d] += avail - written;
         }
-      }
-      if (!whole) {
-        for (std::size_t j = 0; j < njobs; ++j) {
-          if (lay.error[j] || lens[a0 + j] == 0) continue;
-          softfloat::fp_mul_n(format, words + offsets[a0 + j],
-                              words + offsets[b0 + j], words + offsets[d0 + j],
-                              lens[a0 + j]);
-        }
-        continue;
-      }
-      std::size_t n_total = 0;
-      for (std::size_t j = 0; j < njobs; ++j) {
-        if (!lay.error[j]) n_total += lens[d0 + j];
-      }
-      if (n_total == 0) continue;
-      const std::uint64_t* pa = words + offsets[a0 + first_valid];
-      std::uint64_t* pd = words + offsets[d0 + first_valid];
-      const std::uint64_t* pb =
-          op.b >= 0 ? words + offsets[b0 + first_valid] : nullptr;
-      switch (op.code) {
-        case ExecPlan::OpCode::kMulCoeff:
-          softfloat::fp_mul_coeff_n(format, pa, op.coeff_bits, pd, n_total);
-          break;
-        case ExecPlan::OpCode::kMulStream:
-          softfloat::fp_mul_n(format, pa, pb, pd, n_total);
-          break;
-        case ExecPlan::OpCode::kAdd:
-          softfloat::fp_add_n(format, pa, pb, pd, n_total);
-          break;
-        case ExecPlan::OpCode::kSub:
-          softfloat::fp_add_xor_n(format, pa, pb, op.xor_mask, pd, n_total);
-          break;
-        case ExecPlan::OpCode::kAxpy:
-          softfloat::fp_axpy_n(format, pa, pb, op.coeff_bits, op.xor_mask, pd,
-                               n_total);
-          break;
-        case ExecPlan::OpCode::kXpay:
-          softfloat::fp_xpay_n(format, pa, op.coeff_bits, pb, op.xor_mask, pd,
-                               n_total);
-          break;
-        case ExecPlan::OpCode::kMac:
-          break;  // handled above
+        if (avail < lens[ia]) break;
       }
     }
   }
   telemetry::record_child_span("exec.tape", span_start);
-  return lay;
+
+  if (carried) {
+    for (std::size_t s = 0; s < mac.size(); ++s) {
+      carry->mac[s].acc = mac[s].acc;
+      carry->mac[s].filled = mac[s].filled;
+      carry->mac[s].consumed += mac[s].consumed;
+    }
+  }
 }
 
-/// Materialize per-job RunResults (or bit_outputs in raw mode) from the
-/// stripes the core left in the calling thread's arena.
-std::vector<PlanExecutor::BatchOutcome> decode_batch(
-    const ExecPlan& plan, const BatchLayout& lay,
-    const std::vector<bool>& raw_outputs) {
-  const std::size_t njobs = lay.njobs;
+std::uint64_t cycles_for(const ExecPlan& plan, std::uint64_t samples) {
+  return static_cast<std::uint64_t>(plan.pipeline_depth) +
+         (samples > 0 ? samples - 1 : 0);
+}
+
+/// Job `j`'s result from the arena stripes: its output streams (u64
+/// encodings when `raw`, FpValue streams otherwise) and its closed-form
+/// counters.
+RunResult collect(const ExecPlan& plan, std::size_t njobs, std::size_t j,
+                  const JobSlot& slot, bool raw) {
   ExecArena& arena = ExecArena::this_thread();
-  const std::vector<std::size_t>& lens = arena.lengths();
-  const std::vector<std::size_t>& offsets = arena.offsets();
-  const std::uint64_t* const words = arena.words();
-  const softfloat::FpFormat format = plan.format;
+  RunResult run;
+  for (const ExecPlan::OutputSlot& output : plan.outputs) {
+    const std::size_t i = static_cast<std::size_t>(output.buffer) * njobs + j;
+    const std::size_t len = arena.lengths()[i];
+    if (len == kAbsent) {
+      throw std::runtime_error("PlanExecutor: output stream missing");
+    }
+    const std::uint64_t* p = arena.words() + arena.offsets()[i];
+    if (raw) {
+      run.bit_outputs.emplace(output.name,
+                              std::vector<std::uint64_t>(p, p + len));
+    } else {
+      std::vector<FpValue> stream(len);
+      for (std::size_t k = 0; k < len; ++k) stream[k] = FpValue(plan.format, p[k]);
+      run.outputs.emplace(output.name, std::move(stream));
+    }
+  }
+  run.pipeline_depth = plan.pipeline_depth;
+  run.cycles = cycles_for(plan, slot.length);
+  run.fp_ops = slot.fp_ops;
+  run.mac_ops = slot.mac_ops;
+  return run;
+}
+
+/// Name-keyed streams in resolved form, with the single-job acceptance
+/// rules in the single-job order (length mismatch before unknown name).
+/// `view(stream)` borrows one stream as a BatchStream.
+template <typename StreamMap, typename View>
+ResolvedJob resolve_named(const ExecPlan& plan, const StreamMap& streams,
+                          View&& view) {
+  ResolvedJob job;
+  job.reserve(streams.size());
+  std::size_t length = 0;
+  for (const auto& [name, stream] : streams) {
+    const BatchStream borrowed = view(stream);
+    if (length == 0) length = borrowed.size;
+    if (borrowed.size != length) {
+      throw std::invalid_argument("PlanExecutor: input stream lengths differ");
+    }
+    job.push_back(ResolvedStream{-1, borrowed});
+  }
+  std::size_t k = 0;
+  for (const auto& [name, stream] : streams) {
+    const auto it = plan.input_buffer_by_name.find(name);
+    if (it == plan.input_buffer_by_name.end()) {
+      throw std::invalid_argument("PlanExecutor: unknown input stream '" +
+                                  name + "'");
+    }
+    job[k++].buffer = it->second;
+  }
+  return job;
+}
+
+ResolvedJob resolve_named(const ExecPlan& plan, const BatchInputs& streams) {
+  return resolve_named(plan, streams,
+                       [](const BatchStream& stream) { return stream; });
+}
+
+/// A lone job or session chunk: a stripe of one. Throws the job's
+/// acceptance failure; the slot stays valid until the calling thread's
+/// next sweep.
+const JobSlot& sweep_one(const ExecPlan& plan, const ResolvedJob& job,
+                         StreamCarry* carry) {
+  std::vector<JobSlot>& table = job_table(1);
+  sweep(plan, &job, table, carry);
+  if (table[0].error) std::rethrow_exception(table[0].error);
+  return table[0];
+}
+
+RunResult collect_one(const ExecPlan& plan, const JobSlot& slot, bool raw) {
+  const std::uint64_t span_start = telemetry::child_span_start();
+  RunResult run = collect(plan, 1, 0, slot, raw);
+  telemetry::record_child_span("exec.decode", span_start);
+  return run;
+}
+
+/// A fused batch: `pre_error` (empty = none) marks jobs that already
+/// failed name resolution; they fail alone like any rejected job.
+std::vector<PlanExecutor::BatchOutcome> run_jobs(
+    const ExecPlan& plan, const std::vector<ResolvedJob>& jobs,
+    const std::vector<std::exception_ptr>& pre_error,
+    const std::vector<bool>& raw_outputs) {
+  const std::size_t njobs = jobs.size();
+  if (!raw_outputs.empty() && raw_outputs.size() != njobs) {
+    throw std::invalid_argument(
+        "PlanExecutor: raw_outputs must be empty or one flag per job");
+  }
+  std::vector<JobSlot>& table = job_table(njobs);
+  for (std::size_t j = 0; j < pre_error.size(); ++j) {
+    table[j].error = pre_error[j];
+  }
+  sweep(plan, jobs.data(), table, nullptr);
 
   const std::uint64_t span_start = telemetry::child_span_start();
   std::vector<PlanExecutor::BatchOutcome> out(njobs);
   for (std::size_t j = 0; j < njobs; ++j) {
-    PlanExecutor::BatchOutcome& o = out[j];
-    if (lay.error[j]) {
-      o.error = lay.error[j];
-      continue;
-    }
-    const bool raw = !raw_outputs.empty() && raw_outputs[j];
+    out[j].error = table[j].error;
+    if (out[j].error) continue;
     try {
-      for (const ExecPlan::OutputSlot& slot : plan.outputs) {
-        const std::size_t i = static_cast<std::size_t>(slot.buffer) * njobs + j;
-        if (lens[i] == kAbsent) {
-          throw std::runtime_error("PlanExecutor: output stream missing");
-        }
-        const std::uint64_t* p = words + offsets[i];
-        if (raw) {
-          o.run.bit_outputs.emplace(slot.name,
-                                    std::vector<std::uint64_t>(p, p + lens[i]));
-        } else {
-          std::vector<FpValue> stream(lens[i]);
-          for (std::size_t k = 0; k < lens[i]; ++k) {
-            stream[k] = FpValue(format, p[k]);
-          }
-          o.run.outputs.emplace(slot.name, std::move(stream));
-        }
-      }
+      out[j].run = collect(plan, njobs, j, table[j],
+                           !raw_outputs.empty() && raw_outputs[j]);
     } catch (...) {
-      o.error = std::current_exception();
-      o.run = RunResult{};
-      continue;
+      out[j].error = std::current_exception();
     }
-    o.run.pipeline_depth = plan.pipeline_depth;
-    o.run.cycles = static_cast<std::uint64_t>(plan.pipeline_depth) +
-                   (lay.job_length[j] > 0 ? lay.job_length[j] - 1 : 0);
-    o.run.fp_ops = lay.fp_ops[j];
-    o.run.mac_ops = lay.mac_ops[j];
   }
   telemetry::record_child_span("exec.decode", span_start);
   return out;
@@ -935,19 +786,43 @@ std::vector<PlanExecutor::BatchOutcome> decode_batch(
 
 }  // namespace
 
+RunResult PlanExecutor::run(
+    const std::map<std::string, std::vector<FpValue>>& inputs) const {
+  std::map<std::string, std::vector<std::uint64_t>> bits;
+  for (const auto& [name, stream] : inputs) {
+    std::vector<std::uint64_t>& out = bits[name];
+    out.reserve(stream.size());
+    for (const FpValue& value : stream) out.push_back(value.bits());
+  }
+  const ResolvedJob job =
+      resolve_named(*plan_, bits, [](const std::vector<std::uint64_t>& s) {
+        return BatchStream{s.data(), nullptr, s.size()};
+      });
+  return collect_one(*plan_, sweep_one(*plan_, job, nullptr), false);
+}
+
+RunResult PlanExecutor::run_doubles(
+    const std::map<std::string, std::vector<double>>& inputs) const {
+  const ResolvedJob job =
+      resolve_named(*plan_, inputs, [](const std::vector<double>& s) {
+        return BatchStream{nullptr, s.data(), s.size()};
+      });
+  return collect_one(*plan_, sweep_one(*plan_, job, nullptr), false);
+}
+
 std::vector<PlanExecutor::BatchOutcome> PlanExecutor::run_batch(
     const std::vector<BatchInputs>& jobs,
     const std::vector<bool>& raw_outputs) const {
-  const ExecPlan& plan = *plan_;
-  if (!raw_outputs.empty() && raw_outputs.size() != jobs.size()) {
-    throw std::invalid_argument(
-        "PlanExecutor: raw_outputs must be empty or one flag per job");
+  std::vector<ResolvedJob> resolved(jobs.size());
+  std::vector<std::exception_ptr> pre_error(jobs.size());
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    try {
+      resolved[j] = resolve_named(*plan_, jobs[j]);
+    } catch (...) {
+      pre_error[j] = std::current_exception();
+    }
   }
-  std::vector<ResolvedJob> resolved;
-  std::vector<std::exception_ptr> pre_error;
-  resolve_jobs(plan, jobs, &resolved, &pre_error);
-  const BatchLayout lay = execute_batch_core(plan, resolved, pre_error);
-  return decode_batch(plan, lay, raw_outputs);
+  return run_jobs(*plan_, resolved, pre_error, raw_outputs);
 }
 
 std::int32_t PlanExecutor::resolve_input(const std::string& name) const {
@@ -962,13 +837,7 @@ std::int32_t PlanExecutor::resolve_input(const std::string& name) const {
 std::vector<PlanExecutor::BatchOutcome> PlanExecutor::run_batch_resolved(
     const std::vector<ResolvedJob>& jobs,
     const std::vector<bool>& raw_outputs) const {
-  const ExecPlan& plan = *plan_;
-  if (!raw_outputs.empty() && raw_outputs.size() != jobs.size()) {
-    throw std::invalid_argument(
-        "PlanExecutor: raw_outputs must be empty or one flag per job");
-  }
-  const BatchLayout lay = execute_batch_core(plan, jobs, {});
-  return decode_batch(plan, lay, raw_outputs);
+  return run_jobs(*plan_, jobs, {}, raw_outputs);
 }
 
 RunResult PlanExecutor::run_chunk(const BatchInputs& chunk, StreamCarry* carry,
@@ -984,238 +853,16 @@ RunResult PlanExecutor::run_chunk(const BatchInputs& chunk, StreamCarry* carry,
     throw std::invalid_argument(
         "PlanExecutor: carry was opened against a different plan shape");
   }
+  const JobSlot& slot = sweep_one(plan, resolve_named(plan, chunk), carry);
+  RunResult result = collect_one(plan, slot, raw_output);
 
-  // The single-job acceptance rules, in the single-job order.
-  std::size_t length = 0;
-  for (const auto& [name, stream] : chunk) {
-    if (length == 0) length = stream.size;
-    if (stream.size != length) {
-      throw std::invalid_argument("PlanExecutor: input stream lengths differ");
-    }
-  }
-  for (const auto& [name, stream] : chunk) {
-    if (!plan.input_buffer_by_name.count(name)) {
-      throw std::invalid_argument("PlanExecutor: unknown input stream '" +
-                                  name + "'");
-    }
-  }
-
-  ExecArena& arena = ExecArena::this_thread();
-  const std::size_t buffers = static_cast<std::size_t>(plan.num_buffers);
-  arena.begin_job(buffers, mac_ops);
-  // Restore the carried accumulators. `consumed` restarts at zero: it
-  // indexes into this chunk's operand buffer, not the whole stream.
-  std::vector<ExecArena::MacState>& mac = arena.mac_states();
-  for (std::size_t s = 0; s < mac_ops; ++s) {
-    mac[s].acc = carry->mac[s].acc;
-    mac[s].filled = carry->mac[s].filled;
-  }
-
-  RunResult result;
-  std::vector<std::size_t>& lens = arena.lengths();
-  for (const auto& [name, stream] : chunk) {
-    lens[static_cast<std::size_t>(plan.input_buffer_by_name.at(name))] =
-        stream.size;
-  }
-  std::uint64_t chunk_fp_ops = 0, chunk_mac_ops = 0;
-  for (const ExecPlan::Op& op : plan.tape) {
-    const std::size_t la = lens[static_cast<std::size_t>(op.a)];
-    if (la == kAbsent) {
-      throw std::runtime_error(common::strprintf(
-          "PlanExecutor: operand stream for node %d missing (src %d)", op.node,
-          op.src_a));
-    }
-    std::size_t lb = 0;
-    if (op.b >= 0) {
-      lb = lens[static_cast<std::size_t>(op.b)];
-      if (lb == kAbsent) {
-        throw std::runtime_error(common::strprintf(
-            "PlanExecutor: operand stream for node %d missing (src %d)",
-            op.node, op.src_b));
-      }
-    }
-    switch (op.code) {
-      case ExecPlan::OpCode::kMulCoeff:
-        lens[static_cast<std::size_t>(op.dst)] = la;
-        chunk_fp_ops += la;
-        break;
-      case ExecPlan::OpCode::kMulStream:
-        if (lb < la) {
-          throw std::runtime_error(
-              "PlanExecutor: mul stream operands shorter than the first");
-        }
-        lens[static_cast<std::size_t>(op.dst)] = la;
-        chunk_fp_ops += la;
-        break;
-      case ExecPlan::OpCode::kAdd:
-      case ExecPlan::OpCode::kSub:
-        if (la != lb) {
-          throw std::runtime_error(
-              "PlanExecutor: add/sub needs two equal streams");
-        }
-        lens[static_cast<std::size_t>(op.dst)] = la;
-        chunk_fp_ops += la;
-        break;
-      case ExecPlan::OpCode::kAxpy:
-      case ExecPlan::OpCode::kXpay:
-        if (la != lb) {
-          throw std::runtime_error(
-              "PlanExecutor: add/sub needs two equal streams");
-        }
-        lens[static_cast<std::size_t>(op.dst)] = la;
-        chunk_fp_ops += 2 * la;
-        break;
-      case ExecPlan::OpCode::kMac:
-        // This chunk emits every fold the carried fill level plus this
-        // chunk's samples complete — a chunk boundary mid-accumulation
-        // emits nothing here and the next chunk emits early.
-        lens[static_cast<std::size_t>(op.dst)] =
-            op.count
-                ? (carry->mac[static_cast<std::size_t>(op.mac_slot)].filled +
-                   la) / op.count
-                : 0;
-        chunk_fp_ops += 2 * la;
-        chunk_mac_ops += la;
-        break;
-    }
-  }
-
-  std::size_t total_words = 0;
-  for (std::size_t b = 0; b < buffers; ++b) {
-    if (lens[b] != kAbsent) total_words += lens[b];
-  }
-  arena.reserve_words(total_words);
-
-  std::vector<std::size_t>& offsets = arena.offsets();
-  for (std::size_t b = 0; b < buffers; ++b) {
-    if (lens[b] == kAbsent) continue;
-    offsets[b] = static_cast<std::size_t>(arena.take(lens[b]) - arena.words());
-  }
-
-  const softfloat::FpFormat format = plan.format;
-  std::uint64_t span_start = telemetry::child_span_start();
-  for (const auto& [name, stream] : chunk) {
-    const std::size_t buf =
-        static_cast<std::size_t>(plan.input_buffer_by_name.at(name));
-    std::uint64_t* dst = arena.words() + offsets[buf];
-    if (stream.bits) {
-      std::copy(stream.bits, stream.bits + stream.size, dst);
-    } else {
-      softfloat::fp_from_double_n(format, stream.doubles, dst, stream.size);
-    }
-  }
-  telemetry::record_child_span("exec.encode", span_start);
-  span_start = telemetry::child_span_start();
-
-  // The execute_plan block sweep, verbatim — the MacStates it carries
-  // across blocks are the same ones seeded from the API carry above.
-  std::vector<std::size_t>& produced = arena.produced();
-  std::uint64_t* const words = arena.words();
-  std::size_t pos = 0;
-  while (pos < length) {
-    pos = std::min(length, pos + kBlockElems);
-    for (const auto& [name, buf] : plan.input_buffer_by_name) {
-      const std::size_t b = static_cast<std::size_t>(buf);
-      if (lens[b] != kAbsent) produced[b] = std::min(lens[b], pos);
-    }
-    for (const ExecPlan::Op& op : plan.tape) {
-      const std::size_t a = static_cast<std::size_t>(op.a);
-      const std::size_t dst = static_cast<std::size_t>(op.dst);
-      if (op.code == ExecPlan::OpCode::kMac) {
-        ExecArena::MacState& state = mac[static_cast<std::size_t>(op.mac_slot)];
-        const std::size_t n = produced[a] - state.consumed;
-        if (n == 0) continue;
-        if (op.count == 0) {
-          state.consumed = produced[a];
-          continue;
-        }
-        const std::size_t emitted = softfloat::fp_mac_n(
-            format, words + offsets[a] + state.consumed, op.coeff_bits,
-            op.count, words + offsets[dst] + produced[dst], n, &state.acc,
-            &state.filled);
-        state.consumed += n;
-        produced[dst] += emitted;
-        continue;
-      }
-      const std::size_t done = produced[dst];
-      std::size_t avail = produced[a];
-      if (op.b >= 0) {
-        avail = std::min(avail, produced[static_cast<std::size_t>(op.b)]);
-      }
-      const std::size_t n = avail - done;
-      if (n == 0) continue;
-      const std::uint64_t* pa = words + offsets[a] + done;
-      std::uint64_t* pd = words + offsets[dst] + done;
-      switch (op.code) {
-        case ExecPlan::OpCode::kMulCoeff:
-          softfloat::fp_mul_coeff_n(format, pa, op.coeff_bits, pd, n);
-          break;
-        case ExecPlan::OpCode::kMulStream:
-          softfloat::fp_mul_n(
-              format, pa, words + offsets[static_cast<std::size_t>(op.b)] + done,
-              pd, n);
-          break;
-        case ExecPlan::OpCode::kAdd:
-          softfloat::fp_add_n(
-              format, pa, words + offsets[static_cast<std::size_t>(op.b)] + done,
-              pd, n);
-          break;
-        case ExecPlan::OpCode::kSub:
-          softfloat::fp_add_xor_n(
-              format, pa, words + offsets[static_cast<std::size_t>(op.b)] + done,
-              op.xor_mask, pd, n);
-          break;
-        case ExecPlan::OpCode::kAxpy:
-          softfloat::fp_axpy_n(
-              format, pa, words + offsets[static_cast<std::size_t>(op.b)] + done,
-              op.coeff_bits, op.xor_mask, pd, n);
-          break;
-        case ExecPlan::OpCode::kXpay:
-          softfloat::fp_xpay_n(
-              format, pa, op.coeff_bits,
-              words + offsets[static_cast<std::size_t>(op.b)] + done,
-              op.xor_mask, pd, n);
-          break;
-        case ExecPlan::OpCode::kMac:
-          break;  // handled above
-      }
-      produced[dst] = avail;
-    }
-  }
-  telemetry::record_child_span("exec.tape", span_start);
-  span_start = telemetry::child_span_start();
-
-  for (const ExecPlan::OutputSlot& slot : plan.outputs) {
-    const std::size_t buf = static_cast<std::size_t>(slot.buffer);
-    if (lens[buf] == kAbsent) {
-      throw std::runtime_error("PlanExecutor: output stream missing");
-    }
-    const std::uint64_t* p = words + offsets[buf];
-    if (raw_output) {
-      result.bit_outputs.emplace(slot.name,
-                                 std::vector<std::uint64_t>(p, p + lens[buf]));
-    } else {
-      std::vector<FpValue> out(lens[buf]);
-      for (std::size_t i = 0; i < lens[buf]; ++i) out[i] = FpValue(format, p[i]);
-      result.outputs.emplace(slot.name, std::move(out));
-    }
-  }
-  telemetry::record_child_span("exec.decode", span_start);
-
-  // Write the accumulators back and fold this chunk into the cumulative
-  // totals. cycles stays closed-form over the whole stream: a session at
-  // initiation interval 1 fills its pipeline once, not once per chunk.
-  for (std::size_t s = 0; s < mac_ops; ++s) {
-    carry->mac[s].acc = mac[s].acc;
-    carry->mac[s].filled = mac[s].filled;
-    carry->mac[s].consumed += mac[s].consumed;
-  }
-  carry->total_samples += length;
-  carry->fp_ops += chunk_fp_ops;
-  carry->mac_ops += chunk_mac_ops;
-  result.pipeline_depth = plan.pipeline_depth;
-  result.cycles = static_cast<std::uint64_t>(plan.pipeline_depth) +
-                  (carry->total_samples > 0 ? carry->total_samples - 1 : 0);
+  // Fold this chunk into the cumulative totals. cycles stays closed-form
+  // over the whole stream: a session at initiation interval 1 fills its
+  // pipeline once, not once per chunk.
+  carry->total_samples += slot.length;
+  carry->fp_ops += result.fp_ops;
+  carry->mac_ops += result.mac_ops;
+  result.cycles = cycles_for(plan, carry->total_samples);
   result.fp_ops = carry->fp_ops;
   result.mac_ops = carry->mac_ops;
   return result;
@@ -1223,31 +870,24 @@ RunResult PlanExecutor::run_chunk(const BatchInputs& chunk, StreamCarry* carry,
 
 PlanExecutor::RunView PlanExecutor::run_views(const BatchInputs& inputs) const {
   const ExecPlan& plan = *plan_;
-  std::vector<ResolvedJob> resolved;
-  std::vector<std::exception_ptr> pre_error;
-  resolve_jobs(plan, {inputs}, &resolved, &pre_error);
-  BatchLayout lay = execute_batch_core(plan, resolved, pre_error);
-  if (lay.error[0]) std::rethrow_exception(lay.error[0]);
+  const JobSlot& slot = sweep_one(plan, resolve_named(plan, inputs), nullptr);
 
   ExecArena& arena = ExecArena::this_thread();
-  const std::vector<std::size_t>& lens = arena.lengths();
-  const std::vector<std::size_t>& offsets = arena.offsets();
-
   RunView view;
   view.outputs.reserve(plan.outputs.size());
   for (const ExecPlan::OutputSlot& slot : plan.outputs) {
     const std::size_t i = static_cast<std::size_t>(slot.buffer);
-    if (lens[i] == kAbsent) {
+    if (arena.lengths()[i] == kAbsent) {
       throw std::runtime_error("PlanExecutor: output stream missing");
     }
     view.outputs.emplace_back(
-        slot.name, BitStreamView{arena.words() + offsets[i], lens[i]});
+        slot.name, BitStreamView{arena.words() + arena.offsets()[i],
+                                 arena.lengths()[i]});
   }
   view.pipeline_depth = plan.pipeline_depth;
-  view.cycles = static_cast<std::uint64_t>(plan.pipeline_depth) +
-                (lay.job_length[0] > 0 ? lay.job_length[0] - 1 : 0);
-  view.fp_ops = lay.fp_ops[0];
-  view.mac_ops = lay.mac_ops[0];
+  view.cycles = cycles_for(plan, slot.length);
+  view.fp_ops = slot.fp_ops;
+  view.mac_ops = slot.mac_ops;
   return view;
 }
 

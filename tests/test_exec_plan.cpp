@@ -15,6 +15,7 @@
 #include <cmath>
 #include <cstdint>
 #include <future>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <memory>
@@ -672,10 +673,10 @@ TEST(BatchKernels, MatchScalarOpsOnSpecialsLadenStreams) {
   }
 }
 
-// The striped multi-job layout the fused executor builds: per-job
-// segments of mixed lengths back to back in one buffer, elementwise
-// kernels called once over the whole stripe — in place (the fused
-// sweep's aliasing pattern), partial-SIMD-width tails included — must
+// The striped multi-job layout the sweep core builds: per-job segments
+// of mixed lengths back to back in one buffer, elementwise kernels
+// called once across job boundaries — in place (the fused sweep's
+// aliasing pattern), partial-SIMD-width tails included — must
 // match per-segment out-of-place calls; and per-job MAC state driven
 // through stripe offsets must match fresh per-job buffers.
 TEST(BatchKernels, StripedBuffersAliasAndResumeLikePerJobCalls) {
@@ -744,12 +745,14 @@ TEST(BatchKernels, StripedBuffersAliasAndResumeLikePerJobCalls) {
 // K jobs swept as one striped batch vs the same K one by one on the
 // interpreter: outputs, cycles, fp_ops, mac_ops and pipeline_depth all
 // bit-identical, across formats, with mixed per-job stream lengths
-// (zero-length jobs, single-element partial-stripe tails, and lengths
-// that leave every decimating MAC a dropped partial accumulation).
+// (zero-length jobs, single-element partial-stripe tails, lengths
+// that leave every decimating MAC a dropped partial accumulation, and
+// lengths above the sweep's block size, so stripes cross block
+// boundaries and job boundaries fall inside a block).
 TEST(ExecPlanBatch, FuzzBatchedJobsMatchInterpreterOneByOne) {
   const FpFormat formats[] = {FpFormat{4, 7}, FpFormat::half_like(),
                               FpFormat::paper()};
-  const std::size_t lengths[] = {0, 1, 7, 33, 48, 129};
+  const std::size_t lengths[] = {0, 1, 7, 33, 48, 129, 1500, 2600};
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     for (const FpFormat& format : formats) {
       SCOPED_TRACE(vcgra::common::strprintf(
@@ -772,7 +775,8 @@ TEST(ExecPlanBatch, FuzzBatchedJobsMatchInterpreterOneByOne) {
       std::vector<ov::BatchInputs> inputs(njobs);
       std::vector<ov::RunResult> want;
       for (std::size_t j = 0; j < njobs; ++j) {
-        const std::size_t samples = lengths[rng.next_below(6)];
+        const std::size_t samples =
+            lengths[rng.next_below(std::size(lengths))];
         std::map<std::string, std::vector<FpValue>> fp_inputs;
         for (const int id : dfg.inputs()) {
           const std::string& name =
@@ -797,6 +801,40 @@ TEST(ExecPlanBatch, FuzzBatchedJobsMatchInterpreterOneByOne) {
         expect_identical(want[j], outcomes[j].run);
       }
     }
+  }
+}
+
+// A two-stream mul whose second operand is longer (a decimated MAC
+// stream times its own input) cannot run as one call over aligned
+// stripes: it walks per-job segments. Batched with lengths that cross
+// block and job boundaries, every job still matches the interpreter.
+TEST(ExecPlanBatch, LongerSecondMulOperandMatchesInterpreter) {
+  const ov::Compiled compiled = ov::compile_kernel(
+      "input x;\nparam c = 0.75;\nt = mac(x, c, 3);\ny = mul(t, x);\n"
+      "output t; output y;\n",
+      ov::OverlayArch{});
+  const ov::Simulator interpreter(compiled);
+  const ov::PlanExecutor executor(
+      std::make_shared<const ov::ExecPlan>(ov::ExecPlan::lower(compiled)));
+
+  const std::size_t lengths[] = {2600, 0, 1500, 7, 1, 3100};
+  std::vector<std::map<std::string, std::vector<double>>> streams;
+  std::vector<ov::BatchInputs> jobs;
+  for (const std::size_t length : lengths) {
+    streams.push_back(double_streams({"x"}, length, 0.1 * length));
+  }
+  for (const auto& job : streams) {
+    const std::vector<double>& x = job.at("x");
+    jobs.push_back({{"x", ov::BatchStream{nullptr, x.data(), x.size()}}});
+  }
+  const auto outcomes = executor.run_batch(jobs);
+  ASSERT_EQ(outcomes.size(), std::size(lengths));
+  for (std::size_t j = 0; j < outcomes.size(); ++j) {
+    SCOPED_TRACE(vcgra::common::strprintf("job %zu", j));
+    ASSERT_FALSE(outcomes[j].error);
+    const ov::RunResult want = interpreter.run_doubles(streams[j]);
+    expect_identical(want, outcomes[j].run);
+    expect_identical(want, executor.run_doubles(streams[j]));
   }
 }
 
@@ -933,6 +971,18 @@ TEST(ExecPlanBatch, ResolvedJobsMatchNameKeyedJobs) {
   expect_identical(want[0].run, mixed[0].run);
   ASSERT_TRUE(mixed[1].error);
   EXPECT_THROW(std::rethrow_exception(mixed[1].error), std::invalid_argument);
+
+  // So does an index that names an op's buffer instead of an input's.
+  std::vector<ov::ResolvedJob> misdirected(2);
+  misdirected[0] = resolved[0];
+  misdirected[1].push_back(
+      {executor.plan().num_buffers - 1,
+       ov::BatchStream{nullptr, good1.at("a").data(), 7}});
+  const auto stray = executor.run_batch_resolved(misdirected);
+  ASSERT_FALSE(stray[0].error);
+  expect_identical(want[0].run, stray[0].run);
+  ASSERT_TRUE(stray[1].error);
+  EXPECT_THROW(std::rethrow_exception(stray[1].error), std::invalid_argument);
 }
 
 // run_views: the zero-copy single-job entry returns arena-backed u64

@@ -979,6 +979,11 @@ TEST(OverlayService, FusedBatchSweepIsBitExactAndAccounted) {
     int max_batch_seen = 1;
     for (auto& future : futures) {
       const rt::JobResult result = future.get();
+      // A fused batch is counted before any of its promises resolves.
+      if (result.batch_size > 1) {
+        EXPECT_GE(service.stats().batched_jobs,
+                  static_cast<std::uint64_t>(result.batch_size));
+      }
       max_batch_seen = std::max(max_batch_seen, result.batch_size);
       hash ^= result.run.cycles;
       hash *= 0x100000001b3ULL;

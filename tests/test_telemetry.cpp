@@ -869,8 +869,7 @@ TEST(Service, FusedBatchStagesCoverEveryJobInTheBatch) {
     EXPECT_LE(stage_sum, result.latency_seconds * 1.10);
     EXPECT_GE(stage_sum, result.latency_seconds * 0.5);
   }
-  // The batch accounting lands after the last promise is fulfilled, so
-  // drain the worker before reading the counters.
+  // Drain the worker so every batch the jobs rode is counted.
   service.wait_idle();
   const runtime::ServiceStats stats = service.stats();
   EXPECT_GE(stats.fused_batches, 1u);

@@ -55,6 +55,12 @@ TEST(Dfg, ParseErrorsAreDiagnosed) {
   EXPECT_THROW(ov::parse_kernel("param p;"), std::invalid_argument);
   EXPECT_THROW(ov::parse_kernel("input x; param c = 1; y = mac(x, c, 0);"),
                std::invalid_argument);
+  // MAC counts parse strictly: no wrap past int, no trailing junk.
+  for (const char* count : {"99999999999", "4294967297", "3x"}) {
+    const std::string text =
+        std::string("input x; param c = 1; y = mac(x, c, ") + count + ");";
+    EXPECT_THROW(ov::parse_kernel(text), std::invalid_argument) << count;
+  }
   EXPECT_THROW(ov::parse_kernel("output nothing;"), std::invalid_argument);
 }
 
